@@ -22,6 +22,10 @@ Two implementations ship with the library and more can be registered:
   event-loop server (``kv://host:port``), with server-side fan-out to
   subscriber connections.
 
+Both keep each topic in the same sans-IO
+:class:`~repro.kvserver.state.TopicLog`, so sequence numbering, retention
+and lost-event accounting follow one set of rules.
+
 :func:`event_bus_from_url` selects the implementation by URL scheme
 through a registry mirroring the connector registry, so streaming code is
 transport-agnostic the same way stores are.
@@ -37,6 +41,7 @@ from typing import runtime_checkable
 
 from repro.connectors.registry import StoreURL
 from repro.exceptions import UnknownConnectorSchemeError
+from repro.kvserver.state import TopicLog
 
 __all__ = [
     'DEFAULT_LOCAL_RETENTION',
@@ -212,52 +217,26 @@ def _lookup_scheme(scheme: str) -> type | None:
 # --------------------------------------------------------------------------- #
 # In-process bus
 # --------------------------------------------------------------------------- #
-class _LocalTopic:
-    """One in-process topic: a bounded ring plus a wakeup condition."""
-
-    __slots__ = ('ring', 'ring_bytes', 'next_seq', 'retention', 'cond',
-                 'dropped_events')
-
-    def __init__(self, retention: int) -> None:
-        self.ring: list[tuple[int, bytes]] = []
-        self.ring_bytes = 0
-        self.next_seq = 0
-        self.retention = retention
-        self.cond = threading.Condition()
-        self.dropped_events = 0
-
-    def append_locked(self, payload: bytes) -> int:
-        """Append one payload (caller holds ``cond``); returns its seq."""
-        seq = self.next_seq
-        self.next_seq += 1
-        self.ring.append((seq, payload))
-        self.ring_bytes += len(payload)
-        overflow = len(self.ring) - self.retention
-        if overflow > 0:
-            for _, old in self.ring[:overflow]:
-                self.ring_bytes -= len(old)
-            del self.ring[:overflow]
-            self.dropped_events += overflow
-        return seq
-
-
 # Named in-process buses so a bus re-created from its config (or URL) in the
-# same process sees the same topics — mirroring LocalConnector's store_id.
-_GLOBAL_BUSES: dict[str, dict[str, _LocalTopic]] = {}
+# same process sees the same topics, as LocalConnector's store_id does.  A
+# namespace is one condition (guarding its topics, woken on every publish)
+# plus its topic logs.
+_GLOBAL_BUSES: dict[str, tuple[threading.Condition, dict[str, TopicLog]]] = {}
 _GLOBAL_LOCK = threading.Lock()
 
 
 class _LocalSubscription:
-    """Cursor over a :class:`_LocalTopic`'s shared ring buffer."""
+    """Cursor over an in-process topic's shared :class:`TopicLog`."""
 
     def __init__(self, bus: 'LocalEventBus', topic: str, from_seq: int | None) -> None:
-        self._topic = bus._topic(topic)
-        with self._topic.cond:
-            self._cursor = (
-                self._topic.next_seq if from_seq is None else from_seq
-            )
-        self._lost = 0
+        self._log, self._cond = bus._topic(topic), bus._cond
         self._closed = False
+        with self._cond:
+            self._cursor = self._log.next_seq if from_seq is None else from_seq
+            # A cursor behind the ring start begins at it, the gap counted
+            # lost up front (as the broker's SUBSCRIBE reply does).
+            _, self._lost = self._log.events_since(self._cursor, 0)
+            self._cursor += self._lost
 
     @property
     def lost(self) -> int:
@@ -278,35 +257,27 @@ class _LocalSubscription:
         """
         if self._closed:
             return []
-        topic = self._topic
-        with topic.cond:
-            if topic.next_seq <= self._cursor:
+        log = self._log
+        with self._cond:
+            if log.next_seq <= self._cursor:
                 # The predicate also checks closed so close() from another
                 # thread can wake an indefinitely blocked consumer.
-                topic.cond.wait_for(
-                    lambda: self._closed or topic.next_seq > self._cursor,
+                self._cond.wait_for(
+                    lambda: self._closed or log.next_seq > self._cursor,
                     timeout=timeout,
                 )
-            if self._closed or topic.next_seq <= self._cursor:
+            if self._closed or log.next_seq <= self._cursor:
                 return []
-            start = topic.ring[0][0] if topic.ring else topic.next_seq
-            if start > self._cursor:
-                self._lost += start - self._cursor
-                self._cursor = start
-            batch = [
-                (seq, payload)
-                for seq, payload in topic.ring
-                if seq >= self._cursor
-            ]
-            if batch:
-                self._cursor = batch[-1][0] + 1
+            batch, lost = log.events_since(self._cursor)
+            self._lost += lost
+            self._cursor = batch[-1][0] + 1 if batch else self._cursor + lost
             return batch
 
     def close(self) -> None:
         """Detach from the topic, waking any thread blocked in ``next_batch``."""
         self._closed = True
-        with self._topic.cond:
-            self._topic.cond.notify_all()
+        with self._cond:
+            self._cond.notify_all()
 
 
 class LocalEventBus:
@@ -340,35 +311,32 @@ class LocalEventBus:
         self.bus_id = bus_id if bus_id is not None else new_object_id()
         self.retention = retention
         with _GLOBAL_LOCK:
-            self._topics = _GLOBAL_BUSES.setdefault(self.bus_id, {})
+            self._cond, self._topics = _GLOBAL_BUSES.setdefault(
+                self.bus_id, (threading.Condition(), {}),
+            )
 
     def __repr__(self) -> str:
         return f'LocalEventBus(bus_id={self.bus_id!r})'
 
-    def _topic(self, name: str) -> _LocalTopic:
-        with _GLOBAL_LOCK:
-            topic = self._topics.get(name)
-            if topic is None:
-                topic = self._topics[name] = _LocalTopic(self.retention)
-            return topic
+    def _topic(self, name: str) -> TopicLog:
+        with self._cond:
+            log = self._topics.get(name)
+            if log is None:
+                log = self._topics[name] = TopicLog(self.retention)
+            return log
 
     # -- EventBus protocol ------------------------------------------------- #
     def publish(self, topic: str, payload: 'bytes | bytearray | memoryview') -> int:
         """Publish one payload on ``topic``; returns its sequence number."""
-        t = self._topic(topic)
-        data = bytes(payload)
-        with t.cond:
-            seq = t.append_locked(data)
-            t.cond.notify_all()
-        return seq
+        return self.publish_batch(topic, [payload])[0]
 
     def publish_batch(self, topic: str, payloads: Sequence[Any]) -> list[int]:
         """Publish several payloads on ``topic`` under one lock acquisition."""
-        t = self._topic(topic)
         datas = [bytes(p) for p in payloads]
-        with t.cond:
-            seqs = [t.append_locked(d) for d in datas]
-            t.cond.notify_all()
+        with self._cond:
+            log = self._topic(topic)
+            seqs = [log.append(d) for d in datas]
+            self._cond.notify_all()
         return seqs
 
     def subscribe(self, topic: str, *, from_seq: int | None = None) -> _LocalSubscription:
@@ -377,32 +345,14 @@ class LocalEventBus:
 
     def topic_stats(self, topic: str) -> dict[str, Any] | None:
         """Return ring statistics for ``topic`` (``None`` if never used)."""
-        with _GLOBAL_LOCK:
-            t = self._topics.get(topic)
-        if t is None:
-            return None
-        with t.cond:
-            return {
-                'next_seq': t.next_seq,
-                'ring_events': len(t.ring),
-                'ring_bytes': t.ring_bytes,
-                'retention': t.retention,
-                'dropped_events': t.dropped_events,
-            }
+        with self._cond:
+            log = self._topics.get(topic)
+            return None if log is None else log.stats()
 
     def configure_topic(self, topic: str, *, retention: int) -> None:
         """Set ``topic``'s ring retention, trimming immediately."""
-        if retention < 1:
-            raise ValueError('retention must be at least 1')
-        t = self._topic(topic)
-        with t.cond:
-            t.retention = retention
-            overflow = len(t.ring) - retention
-            if overflow > 0:
-                for _, old in t.ring[:overflow]:
-                    t.ring_bytes -= len(old)
-                del t.ring[:overflow]
-                t.dropped_events += overflow
+        with self._cond:
+            self._topic(topic).set_retention(retention)
 
     def config(self) -> dict[str, Any]:
         """Return a picklable dict re-creating this bus (same process only)."""
@@ -435,7 +385,7 @@ class LocalEventBus:
         self.close()
 
     def __iter__(self) -> Iterator[str]:
-        with _GLOBAL_LOCK:
+        with self._cond:
             return iter(sorted(self._topics))
 
 

@@ -104,12 +104,7 @@ class FailoverSubscription:
                 try:
                     sub = bus.subscribe(self.topic, from_seq=from_seq)
                 except ConnectorError as e:
-                    self._router.record(
-                        node,
-                        ok=False,
-                        unavailable=isinstance(e, NodeUnavailableError),
-                        error=e,
-                    )
+                    self._router.record(node, ok=False, error=e)
                     last = e
                     continue
                 self._router.record(node, ok=True)
@@ -169,12 +164,7 @@ class FailoverSubscription:
             batch = self._sub.next_batch(timeout=timeout)
         except ConnectorError as e:
             if self.broker is not None:
-                self._router.record(
-                    self.broker,
-                    ok=False,
-                    unavailable=isinstance(e, NodeUnavailableError),
-                    error=e,
-                )
+                self._router.record(self.broker, ok=False, error=e)
             self._failover()
             return []
         self._position = max(self._position, int(getattr(self._sub, 'position', 0)))

@@ -65,6 +65,8 @@ from repro.proxy.proxy import Proxy
 from repro.proxy.resolve import resolve
 from repro.proxy.resolve import resolve_async
 from repro.faults.retry import DEFAULT_RECONNECT_POLICY
+from repro.kvserver.state import DEFAULT_SESSION_TIMEOUT
+from repro.kvserver.state import GroupState
 from repro.store.factory import StoreFactory
 from repro.stream.bus import EventBus
 from repro.stream.bus import broker_id
@@ -85,9 +87,6 @@ __all__ = [
     'partition_for',
     'partition_topics',
 ]
-
-#: Default seconds without a heartbeat before a member is expired.
-DEFAULT_SESSION_TIMEOUT = 10.0
 
 #: Fraction of the session timeout between heartbeats (3 beats per lease).
 _HEARTBEAT_FRACTION = 3.0
@@ -260,24 +259,19 @@ class PartitionRouter:
         """The node's SimKV request client, or ``None`` (local transport)."""
         return getattr(self._by_id[node], 'client', None)
 
-    def record(
-        self,
-        node: str,
-        *,
-        ok: bool,
-        unavailable: bool = False,
-        error: Exception | None = None,
-    ) -> None:
+    def record(self, node: str, *, ok: bool, error: Exception | None = None) -> None:
         """Fold one broker-operation outcome into the failure detector.
 
-        A streak of ``unavailable`` failures (``failure_threshold``
-        consecutive) marks the broker dead, after which
-        :meth:`ordered_owners` routes around it.  A no-op when
+        A streak of ``failure_threshold`` consecutive
+        :class:`~repro.exceptions.NodeUnavailableError` failures marks the
+        broker dead, after which :meth:`ordered_owners` routes around it;
+        any other error counts against its health only.  A no-op when
         replication (and therefore the detector) is off.
         """
         if self.membership is not None:
             self.membership.record(
-                node, ok=ok, unavailable=unavailable, error=error,
+                node, ok=ok, error=error,
+                unavailable=isinstance(error, NodeUnavailableError),
             )
 
     def bus_for(self, partition_topic: str) -> EventBus:
@@ -321,38 +315,37 @@ class PartitionRouter:
                 try:
                     seqs = list(bus.publish_batch(partition_topic, list(payloads)))
                 except NodeUnavailableError as e:
-                    self.record(node, ok=False, unavailable=True, error=e)
+                    self.record(node, ok=False, error=e)
                     last = e
                     continue
                 self.record(node, ok=True)
-                self._replicate(
-                    partition_topic, list(zip(seqs, payloads)), primary=node,
-                )
+                if seqs:
+                    self._mirror(
+                        partition_topic, node, 'repl_publish',
+                        partition_topic, list(zip(seqs, payloads)),
+                    )
                 return seqs
         raise last if last is not None else NodeUnavailableError(
             f'no broker reachable for topic {partition_topic!r}',
         )
 
-    def _replicate(
-        self,
-        partition_topic: str,
-        entries: list[tuple[int, Any]],
-        *,
-        primary: str,
-    ) -> None:
-        """Mirror ``(seq, payload)`` events onto the non-primary live owners."""
-        if self.replicas < 2 or not entries:
+    def _mirror(self, key: str, primary: str, command: str, *args: Any) -> None:
+        """Best-effort ``client.<command>(*args)`` on ``key``'s other live owners.
+
+        A replica failure is recorded against that replica and otherwise
+        ignored: the primary holds the state, the fleet is merely
+        under-replicated until the replica recovers.
+        """
+        if self.replicas < 2:
             return
-        for node in self.owners(partition_topic):
+        for node in self.owners(key):
             if node == primary or not self._alive(node):
                 continue
-            repl = getattr(self.client_of(node), 'repl_publish', None)
-            if repl is None:
+            send = getattr(self.client_of(node), command, None)
+            if send is None:
                 continue  # transport without replication support
             try:
-                repl(partition_topic, entries)
-            except NodeUnavailableError as e:
-                self.record(node, ok=False, unavailable=True, error=e)
+                send(*args)
             except ConnectorError as e:
                 self.record(node, ok=False, error=e)
             else:
@@ -404,62 +397,27 @@ class PartitionRouter:
 # --------------------------------------------------------------------------- #
 # Group state backends
 # --------------------------------------------------------------------------- #
-class _LocalGroupState:
-    """In-process group state mirroring the broker-side ``_Group`` record."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.generation = 0
-        self.members: dict[str, tuple[float, float]] = {}
-        self.committed: dict[str, int] = {}
-        self.watermarks: dict[str, int] = {}
-        self.ends: dict[str, tuple[int, str]] = {}
-
-    def sweep_locked(self, now: float) -> None:
-        dead = [m for m, (deadline, _) in self.members.items() if now > deadline]
-        for member in dead:
-            del self.members[member]
-        if dead:
-            self.generation += 1
-
-    def advance_locked(self, positions: dict[str, int] | None) -> None:
-        for topic, position in (positions or {}).items():
-            if int(position) > self.watermarks.get(topic, 0):
-                self.watermarks[topic] = int(position)
-
-    def record_ends_locked(self, member: str, ends: dict[str, int] | None) -> None:
-        for topic, end_seq in (ends or {}).items():
-            self.ends[topic] = (int(end_seq), member)
-
-    def view_locked(self) -> dict[str, Any]:
-        return {'generation': self.generation, 'members': sorted(self.members)}
-
-
 #: Process-global group states of the in-process transport, keyed by
-#: (local bus id, group name) — mirrors the shared-topic registry of
-#: :class:`~repro.stream.bus.LocalEventBus`.
-_LOCAL_GROUPS: dict[tuple[str, str], _LocalGroupState] = {}
+#: (local bus id, group name) like the topics of a
+#: :class:`~repro.stream.bus.LocalEventBus` namespace.  One lock guards
+#: the registry and every state in it.
+_LOCAL_GROUPS: dict[tuple[str, str], GroupState] = {}
 _LOCAL_GROUPS_LOCK = threading.Lock()
 
 
 class _LocalBackend:
-    """Group-state backend over the in-process transport."""
+    """Group-state backend over the in-process transport: a locked GroupState."""
 
     def __init__(self, namespace: str, group: str) -> None:
         with _LOCAL_GROUPS_LOCK:
-            self._state = _LOCAL_GROUPS.setdefault(
-                (namespace, group), _LocalGroupState(),
-            )
+            self._state = _LOCAL_GROUPS.setdefault((namespace, group), GroupState())
+
+    def _locked(self, op: Any, *args: Any) -> Any:
+        with _LOCAL_GROUPS_LOCK:
+            return op(self._state, *args, now=time.monotonic())
 
     def join(self, member: str, session_timeout: float) -> dict[str, Any]:
-        state = self._state
-        now = time.monotonic()
-        with state.lock:
-            state.sweep_locked(now)
-            if member not in state.members:
-                state.generation += 1
-            state.members[member] = (now + session_timeout, session_timeout)
-            return state.view_locked()
+        return self._locked(GroupState.join, member, session_timeout)
 
     def heartbeat(
         self,
@@ -467,27 +425,10 @@ class _LocalBackend:
         positions: dict[str, int],
         ends: dict[str, int] | None = None,
     ) -> dict[str, Any]:
-        state = self._state
-        now = time.monotonic()
-        with state.lock:
-            state.sweep_locked(now)
-            if member not in state.members:
-                raise GroupMembershipError(
-                    f'member {member!r} expired from the group',
-                )
-            deadline, timeout = state.members[member]
-            state.members[member] = (now + timeout, timeout)
-            state.advance_locked(positions)
-            state.record_ends_locked(member, ends)
-            return state.view_locked()
+        return self._locked(GroupState.heartbeat, member, positions, ends)
 
     def leave(self, member: str, positions: dict[str, int]) -> None:
-        state = self._state
-        with state.lock:
-            state.sweep_locked(time.monotonic())
-            if state.members.pop(member, None) is not None:
-                state.generation += 1
-            state.advance_locked(positions)
+        self._locked(GroupState.leave, member, positions)
 
     def commit(
         self,
@@ -496,43 +437,13 @@ class _LocalBackend:
         positions: dict[str, int],
         ends: dict[str, int] | None = None,
     ) -> None:
-        state = self._state
-        now = time.monotonic()
-        with state.lock:
-            state.sweep_locked(now)
-            for topic, offset in offsets.items():
-                if int(offset) > state.committed.get(topic, 0):
-                    state.committed[topic] = int(offset)
-            state.advance_locked(positions)
-            state.record_ends_locked(member, ends)
-            if member in state.members:
-                deadline, timeout = state.members[member]
-                state.members[member] = (now + timeout, timeout)
+        self._locked(GroupState.commit, member, offsets, positions, ends)
 
-    def fetch(self, topics: Sequence[str]) -> dict[str, dict[str, int]]:
-        state = self._state
-        with state.lock:
-            fetched = {}
-            for topic in topics:
-                end = state.ends.get(topic)
-                fetched[topic] = {
-                    'committed': state.committed.get(topic, 0),
-                    'watermark': state.watermarks.get(topic, 0),
-                    'end': None if end is None else end[0],
-                    'end_member': None if end is None else end[1],
-                }
-            return fetched
+    def fetch(self, topics: Sequence[str]) -> dict[str, dict[str, Any]]:
+        return self._locked(GroupState.fetch, topics)
 
     def stats(self) -> dict[str, Any]:
-        state = self._state
-        with state.lock:
-            state.sweep_locked(time.monotonic())
-            return {
-                **state.view_locked(),
-                'committed': dict(state.committed),
-                'watermarks': dict(state.watermarks),
-                'ends': {t: e[0] for t, e in state.ends.items()},
-            }
+        return self._locked(GroupState.stats)
 
 
 class _KVBackend:
@@ -553,18 +464,7 @@ class _KVBackend:
         positions: dict[str, int],
         ends: dict[str, int] | None = None,
     ) -> dict[str, Any]:
-        try:
-            return self._client.group_heartbeat(
-                self._group, member, positions, ends,
-            )
-        except ConnectorError as e:
-            if isinstance(e, NodeUnavailableError):
-                raise
-            if 'unknown member' in str(e):
-                raise GroupMembershipError(
-                    f'member {member!r} expired from the group',
-                ) from e
-            raise
+        return self._client.group_heartbeat(self._group, member, positions, ends)
 
     def leave(self, member: str, positions: dict[str, int]) -> None:
         self._client.group_leave(self._group, member, positions)
@@ -633,7 +533,7 @@ class _ReplicatedKVBackend:
                 try:
                     result = op(client)
                 except NodeUnavailableError as e:
-                    self._router.record(node, ok=False, unavailable=True, error=e)
+                    self._router.record(node, ok=False, error=e)
                     last = e
                     continue
                 self._router.record(node, ok=True)
@@ -643,28 +543,14 @@ class _ReplicatedKVBackend:
                 if mirror is not None:
                     if isinstance(result, dict) and 'generation' in result:
                         mirror['generation'] = result['generation']
-                    self._mirror(node, mirror)
+                    self._router._mirror(
+                        f'coordinator:{self._key}', node, 'repl_group',
+                        self._group, mirror,
+                    )
                 return result
         raise last if last is not None else NodeUnavailableError(
             f'no coordinator broker reachable for group {self._group!r}',
         )
-
-    def _mirror(self, primary: str, payload: dict[str, Any]) -> None:
-        """Best-effort REPL_GROUP mirror to the non-acting live owners."""
-        for node in self._router.owners(f'coordinator:{self._key}'):
-            if node == primary or not self._router._alive(node):
-                continue
-            client = self._router.client_of(node)
-            if client is None or not hasattr(client, 'repl_group'):
-                continue
-            try:
-                client.repl_group(self._group, payload)
-            except NodeUnavailableError as e:
-                self._router.record(node, ok=False, unavailable=True, error=e)
-            except ConnectorError as e:
-                self._router.record(node, ok=False, error=e)
-            else:
-                self._router.record(node, ok=True)
 
     def join(self, member: str, session_timeout: float) -> dict[str, Any]:
         """Join on the acting coordinator; mirrored to the replicas."""
@@ -685,22 +571,13 @@ class _ReplicatedKVBackend:
         ends: dict[str, int] | None = None,
     ) -> dict[str, Any]:
         """Heartbeat the acting coordinator (lease refresh mirrors too)."""
-        try:
-            return self._call(
-                lambda c: c.group_heartbeat(self._group, member, positions, ends),
-                mirror={
-                    'op': 'heartbeat', 'member': member,
-                    'positions': dict(positions), 'ends': dict(ends or {}),
-                },
-            )
-        except NodeUnavailableError:
-            raise
-        except ConnectorError as e:
-            if 'unknown member' in str(e):
-                raise GroupMembershipError(
-                    f'member {member!r} expired from the group',
-                ) from e
-            raise
+        return self._call(
+            lambda c: c.group_heartbeat(self._group, member, positions, ends),
+            mirror={
+                'op': 'heartbeat', 'member': member,
+                'positions': dict(positions), 'ends': dict(ends or {}),
+            },
+        )
 
     def leave(self, member: str, positions: dict[str, int]) -> None:
         """Leave via the acting coordinator; mirrored to the replicas."""
@@ -746,9 +623,8 @@ class GroupCoordinator:
     of ``coordinator:{group}`` over the broker fleet — so every member
     finds the coordinator without any lookup service (the same
     coordinator-free placement partitions use).  Over the in-process
-    transport the state is a process-global record keyed by the bus
-    namespace, giving tests and single-process pipelines identical
-    semantics without sockets.
+    transport it is the same :class:`~repro.kvserver.state.GroupState`
+    the broker runs, one per bus namespace and group, behind a lock.
     """
 
     def __init__(self, group: str, router: PartitionRouter) -> None:
@@ -798,7 +674,15 @@ class GroupCoordinator:
             NodeUnavailableError: the designated broker is unreachable
                 (transient — the caller retries on the next beat).
         """
-        return self._backend.heartbeat(member, positions, ends)
+        try:
+            return self._backend.heartbeat(member, positions, ends)
+        except ConnectorError as e:
+            # A broker reports an expired member as an 'unknown member' error.
+            if isinstance(e, (GroupMembershipError, NodeUnavailableError)) or (
+                'unknown member' not in str(e)
+            ):
+                raise
+            raise GroupMembershipError(f'member {member!r} expired from the group') from e
 
     def leave(self, member: str, positions: dict[str, int]) -> None:
         """Deregister ``member`` voluntarily (immediate generation bump)."""
@@ -1000,14 +884,16 @@ class GroupConsumer:
             if claim.end_seq is not None and claim.position >= claim.end_seq
         }
 
+    def _beat(self) -> None:
+        """Heartbeat with this member's positions and ends; adopt the view."""
+        self._set_view(
+            self.coordinator.heartbeat(self.member, self._positions(), self._ends()),
+        )
+
     def _heartbeat_loop(self) -> None:
         while not self._closed.wait(self.heartbeat_interval):
             try:
-                self._set_view(
-                    self.coordinator.heartbeat(
-                        self.member, self._positions(), self._ends(),
-                    ),
-                )
+                self._beat()
             except GroupMembershipError:
                 self._needs_rejoin = True
             except ConnectorError:
@@ -1030,11 +916,7 @@ class GroupConsumer:
         in tests).  Returns the generation synced to.
         """
         try:
-            self._set_view(
-                self.coordinator.heartbeat(
-                    self.member, self._positions(), self._ends(),
-                ),
-            )
+            self._beat()
         except GroupMembershipError:
             self._needs_rejoin = True
         self._sync_membership()
@@ -1188,11 +1070,7 @@ class GroupConsumer:
         concurrently observe each other's markers.
         """
         try:
-            self._set_view(
-                self.coordinator.heartbeat(
-                    self.member, self._positions(), self._ends(),
-                ),
-            )
+            self._beat()
             state = self.coordinator.fetch(self.router.topics)
         except GroupMembershipError:
             self._needs_rejoin = True

@@ -9,6 +9,7 @@ from repro.exceptions import ConnectorError
 from repro.kvserver import KVClient
 from repro.kvserver import KVServer
 from repro.kvserver import launch_server
+from repro.kvserver import server as server_module
 
 
 @pytest.fixture()
@@ -176,3 +177,12 @@ def test_launch_server_ephemeral_ports_are_distinct():
     finally:
         a.stop()
         b.stop()
+    # The next launch drops stopped servers from the registry.
+    c = launch_server()
+    try:
+        launched = list(server_module._LAUNCHED.values())
+        assert a not in launched and b not in launched
+        assert c in launched
+        assert all(server.running for server in launched)
+    finally:
+        c.stop()

@@ -158,6 +158,7 @@ def test_coordinator_expires_silent_members(make_bus, topic):
     assert view['members'] == ['alive']
     with pytest.raises(GroupMembershipError):
         coordinator.heartbeat('quiet', {})
+    assert coordinator.stats()['expired_members'] == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -12,6 +12,10 @@ operation sequence and compares every observable result:
   heartbeat, leave, commit, fetch and stats — through a
   :class:`GroupCoordinator` per transport, comparing every reply (or the
   exception type raised).
+
+Both transports run the one sans-IO copy of these rules
+(:mod:`repro.kvserver.state`); the unit tests at the end drive it
+directly with an explicit clock.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ import time
 
 import pytest
 from hypothesis import HealthCheck
+from hypothesis import given
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine
@@ -27,7 +32,10 @@ from hypothesis.stateful import invariant
 from hypothesis.stateful import rule
 from hypothesis.stateful import run_state_machine_as_test
 
+from repro.exceptions import GroupMembershipError
 from repro.kvserver.server import KVServer
+from repro.kvserver.state import GroupState
+from repro.kvserver.state import TopicLog
 from repro.stream import KVEventBus
 from repro.stream import LocalEventBus
 from repro.stream.groups import GroupCoordinator
@@ -202,9 +210,93 @@ def test_local_and_kv_transports_match_the_model(model_server):
     run_state_machine_as_test(
         lambda: BusModel(model_server),
         settings=settings(
-            max_examples=20,
-            stateful_step_count=25,
+            max_examples=50,
+            stateful_step_count=30,
             deadline=None,
             suppress_health_check=[HealthCheck.too_slow],
         ),
     )
+
+
+# --------------------------------------------------------------------------- #
+# The sans-IO state machines, driven with an explicit clock
+# --------------------------------------------------------------------------- #
+def test_group_expiry_follows_the_injected_clock():
+    group = GroupState()
+    group.join('quiet', 1.0, now=0.0)
+    view = group.join('alive', 5.0, now=0.0)
+    assert view == {'generation': 2, 'members': ['alive', 'quiet']}
+    # A deadline is inclusive: at exactly now == deadline the member lives.
+    assert group.heartbeat('alive', now=1.0)['members'] == ['alive', 'quiet']
+    assert group.heartbeat('alive', now=1.5) == {'generation': 3, 'members': ['alive']}
+    with pytest.raises(GroupMembershipError):
+        group.heartbeat('quiet', now=1.5)
+    # The heartbeat at 1.5 renewed 'alive' until 6.5; a commit renews too.
+    group.commit('alive', {'t': 2}, now=6.5)
+    assert group.stats(now=11.5)['members'] == ['alive']
+    stats = group.stats(now=11.6)
+    assert stats['members'] == [] and stats['generation'] == 4
+    assert stats['expired_members'] == 2
+    assert stats['committed'] == {'t': 2}
+
+
+_offsets = st.dictionaries(st.sampled_from(['t0', 't1']), st.integers(0, 50), max_size=2)
+_delta = st.fixed_dictionaries(
+    {
+        'op': st.sampled_from(['join', 'heartbeat', 'commit', 'leave']),
+        'member': st.sampled_from(['', 'a', 'b']),
+        'generation': st.integers(0, 20),
+        'offsets': _offsets,
+        'positions': _offsets,
+    },
+    optional={'session_timeout': st.floats(1.0, 100.0)},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deltas=st.lists(_delta, max_size=12), rnd=st.randoms(use_true_random=False))
+def test_merge_is_monotonic_and_order_free(deltas, rnd):
+    group = GroupState()
+    for delta in deltas:
+        before = (group.generation, dict(group.committed), dict(group.watermarks))
+        group.merge(delta, now=0.0)
+        assert group.generation >= before[0]
+        assert all(group.committed[t] >= v for t, v in before[1].items())
+        assert all(group.watermarks[t] >= v for t, v in before[2].items())
+    # Late, duplicated and reordered deltas converge on the same offsets
+    # and generation: the max over everything seen.
+    shuffled = list(deltas) * 2
+    rnd.shuffle(shuffled)
+    replica = GroupState()
+    for delta in shuffled:
+        replica.merge(delta, now=0.0)
+    assert replica.generation == group.generation == max(
+        (d['generation'] for d in deltas), default=0,
+    )
+    assert replica.committed == group.committed
+    assert replica.watermarks == group.watermarks
+
+
+def test_topic_log_reads_a_gapped_replica_ring_up_to_limit():
+    log = TopicLog(retention=4)
+    accepted = [log.append_at(seq, b'e%d' % seq) for seq in (3, 5, 4, 7, 5)]
+    assert accepted == [True, True, True, True, False]
+    assert log.next_seq == 8
+
+    def seqs(since, limit=None):
+        events, lost = log.events_since(since, limit)
+        return [seq for seq, _ in events], lost
+
+    assert seqs(5) == ([5, 7], 0)
+    assert seqs(6) == ([7], 0)
+    assert seqs(4, limit=2) == ([4, 5], 0)
+    assert seqs(0, limit=1) == ([3], 3)
+    assert seqs(9) == ([], 0)
+    log.append_at(8, b'e8')
+    assert seqs(0) == ([4, 5, 7, 8], 4)
+    assert log.stats() == {
+        'next_seq': 9, 'ring_events': 4, 'ring_bytes': 8, 'retention': 4,
+        'dropped_events': 1,
+    }
+    log.set_retention(1)
+    assert seqs(0) == ([8], 8)
