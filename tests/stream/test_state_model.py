@@ -38,6 +38,7 @@ from repro.kvserver.state import GroupState
 from repro.kvserver.state import TopicLog
 from repro.stream import KVEventBus
 from repro.stream import LocalEventBus
+from repro.stream.bus import DEFAULT_LOCAL_RETENTION
 from repro.stream.groups import GroupCoordinator
 from repro.stream.groups import PartitionRouter
 
@@ -107,32 +108,29 @@ class BusModel(RuleBasedStateMachine):
         for bus in self.buses:
             bus.close()
 
-    def _same(self, call) -> object:
-        """Run ``call(handle)`` on both transports; the outcomes must match."""
-        local, kv = (_outcome(lambda h=h: call(h)) for h in self.buses)
+    @staticmethod
+    def _same(handles, call) -> None:
+        """Run ``call`` on the local and the KV handle; the outcomes must match."""
+        local, kv = (_outcome(lambda h=h: call(h)) for h in handles)
         assert local == kv, f'local {local!r} != kv {kv!r}'
-        return local[1]
-
-    def _same_group(self, call) -> object:
-        local, kv = (_outcome(lambda c=c: call(c)) for c in self.coordinators)
-        assert local == kv, f'local {local!r} != kv {kv!r}'
-        return local[1]
 
     def _local_stats(self) -> dict:
-        return self.buses[0].topic_stats(self.topic) or {'next_seq': 0, 'ring_events': 0, 'retention': 256}
+        return self.buses[0].topic_stats(self.topic) or {
+            'next_seq': 0, 'ring_events': 0, 'retention': DEFAULT_LOCAL_RETENTION,
+        }
 
     # -- topic operations --------------------------------------------------- #
     @rule(payload=_payloads)
     def publish(self, payload):
-        self._same(lambda bus: bus.publish(self.topic, payload))
+        self._same(self.buses, lambda bus: bus.publish(self.topic, payload))
 
     @rule(payloads=st.lists(_payloads, max_size=6))
     def publish_batch(self, payloads):
-        self._same(lambda bus: bus.publish_batch(self.topic, payloads))
+        self._same(self.buses, lambda bus: bus.publish_batch(self.topic, payloads))
 
     @rule(retention=st.integers(min_value=1, max_value=8))
     def configure_topic(self, retention):
-        self._same(lambda bus: bus.configure_topic(self.topic, retention=retention))
+        self._same(self.buses, lambda bus: bus.configure_topic(self.topic, retention=retention))
 
     @rule(start=st.sampled_from(['head', 'zero', 'mid']), offset=st.integers(0, 10))
     def subscribe_and_drain(self, start, offset):
@@ -151,7 +149,7 @@ class BusModel(RuleBasedStateMachine):
                 # Live events only: no more than the ring holds, so the
                 # local reader (ring) and the KV reader (pushes) both see all.
                 extra = [b'live-%d' % i for i in range(min(offset, self._local_stats()['retention']))]
-                self._same(lambda bus: bus.publish_batch(self.topic, extra))
+                self._same(self.buses, lambda bus: bus.publish_batch(self.topic, extra))
             target = self._local_stats()['next_seq']
             drained = [_drain(sub, target) for sub in subs]
             assert drained[0] == drained[1]
@@ -175,21 +173,23 @@ class BusModel(RuleBasedStateMachine):
 
     @rule(member=_member)
     def join(self, member):
-        self._same_group(lambda c: c.join(member, session_timeout=_LEASE))
+        self._same(self.coordinators, lambda c: c.join(member, session_timeout=_LEASE))
 
     @rule(member=_member, positions=_seq_map, ends=_seq_map)
     def heartbeat(self, member, positions, ends):
-        self._same_group(
+        self._same(
+            self.coordinators,
             lambda c: c.heartbeat(member, self._partition(positions), self._partition(ends)),
         )
 
     @rule(member=_member, positions=_seq_map)
     def leave(self, member, positions):
-        self._same_group(lambda c: c.leave(member, self._partition(positions)))
+        self._same(self.coordinators, lambda c: c.leave(member, self._partition(positions)))
 
     @rule(member=_member, offsets=_seq_map, positions=_seq_map, ends=_seq_map)
     def commit(self, member, offsets, positions, ends):
-        self._same_group(
+        self._same(
+            self.coordinators,
             lambda c: c.commit(
                 member, self._partition(offsets), self._partition(positions),
                 self._partition(ends),
@@ -199,11 +199,11 @@ class BusModel(RuleBasedStateMachine):
     @rule(which=st.lists(st.integers(0, _PARTITIONS - 1), max_size=_PARTITIONS))
     def fetch(self, which):
         topics = list(self._partition({f'p{i}': 0 for i in which}))
-        self._same_group(lambda c: c.fetch(topics))
+        self._same(self.coordinators, lambda c: c.fetch(topics))
 
     @rule()
     def stats(self):
-        self._same_group(lambda c: c.stats())
+        self._same(self.coordinators, lambda c: c.stats())
 
 
 def test_local_and_kv_transports_match_the_model(model_server):
