@@ -18,6 +18,10 @@ wire's capability.  This client removes that serialization:
   restarted, an idle socket was torn down) is transparently **retried
   once** on a fresh connection — SimKV commands are idempotent, so a
   reconnectable failure no longer surfaces as a ``ConnectorError``.
+* The same connection type carries **stream subscriptions**
+  (:mod:`repro.stream.kv`): a subscriber opens one outside the pool with
+  a push handler, and the reader hands the broker's ``EVENT`` frames to
+  it instead of a waiter.
 
 Payload values are transmitted zero-copy: :meth:`KVClient.set` wraps the
 payload's segments in :class:`pickle.PickleBuffer`, so the wire protocol
@@ -34,6 +38,7 @@ import struct
 import threading
 import time
 from typing import Any
+from typing import Callable
 from typing import Iterable
 from typing import Sequence
 
@@ -41,6 +46,7 @@ from repro.exceptions import ConnectorError
 from repro.exceptions import NodeUnavailableError
 from repro.faults import injection
 from repro.faults.retry import RetryPolicy
+from repro.kvserver.protocol import EVENT_STATUS
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import encode_message
 from repro.serialize.buffers import SerializedObject
@@ -80,18 +86,36 @@ class _Pending:
 
 
 class _Connection:
-    """One pooled socket: a send lock, a reader thread, and in-flight waiters.
+    """One SimKV socket: a send lock, a reader thread, and in-flight waiters.
 
     The reader thread is the only consumer of the socket; it dispatches
     each ``(request_id, status, payload)`` response to the matching waiter.
     Sends are serialized by ``_send_lock`` but *responses are not awaited
     under it*, which is what allows pipelining.
+
+    ``on_push`` makes this a subscription connection: the reader hands the
+    payload of every server-initiated ``EVENT`` frame to it, and calls
+    ``on_push(None)`` once when the connection dies.  A failed connect
+    raises :class:`~repro.exceptions.NodeUnavailableError`, so callers know
+    the node itself is unreachable rather than the request being bad.
     """
 
-    def __init__(self, host: str, port: int, timeout: float) -> None:
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        timeout: float,
+        on_push: Callable[[Any], None] | None = None,
+    ) -> None:
         self._addr = (host, port)
-        injection.on_connect(host, port)  # fault seam: refuse/latency
-        self.sock = socket.create_connection((host, port), timeout=timeout)
+        self._on_push = on_push
+        try:
+            injection.on_connect(host, port)  # fault seam: refuse/latency
+            self.sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as e:
+            raise NodeUnavailableError(
+                f'cannot connect to SimKV server at {host}:{port}: {e}',
+            ) from e
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # The reader thread owns all receives and blocks until frames
         # arrive; request waits are bounded client-side by *inactivity*
@@ -129,6 +153,7 @@ class _Connection:
 
     def _read_loop(self) -> None:
         decoder = StreamDecoder()
+        on_push = self._on_push
         while True:
             try:
                 message = decoder.read_message(self.sock, on_bytes=self._touch)
@@ -145,6 +170,9 @@ class _Connection:
             except (TypeError, ValueError):
                 self._fail(ConnectorError(f'malformed SimKV response: {message!r}'))
                 return
+            if on_push is not None and status == EVENT_STATUS:
+                on_push(payload)
+                continue
             with self._state_lock:
                 pending = self._pending.pop(request_id, None)
             if pending is not None:
@@ -168,6 +196,8 @@ class _Connection:
         for waiter in pending.values():
             waiter.error = error
             waiter.event.set()
+        if self._on_push is not None:
+            self._on_push(None)
         # shutdown() (unlike a bare close()) reliably wakes a reader thread
         # blocked in recv so join_reader() returns promptly.
         try:
@@ -318,15 +348,7 @@ class KVClient:
         with self._slot_locks[index]:
             connection = self._pool[index]
             if connection is None or connection.dead:
-                try:
-                    connection = _Connection(self.host, self.port, self.timeout)
-                except OSError as e:
-                    # Typed so replicated callers know this node is down
-                    # (retry elsewhere) rather than the request being bad.
-                    raise NodeUnavailableError(
-                        f'cannot connect to SimKV server at '
-                        f'{self.host}:{self.port}: {e}',
-                    ) from e
+                connection = _Connection(self.host, self.port, self.timeout)
                 self._pool[index] = connection
             return connection
 

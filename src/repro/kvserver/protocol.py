@@ -21,12 +21,13 @@ back to waiters, so the transport no longer serializes round trips.
 Pickle is acceptable here because both ends are this library (SimKV is an
 internal substrate, not an internet-facing service).
 
-Two consumption styles are provided on the receive side:
-
-* :func:`recv_message` — blocking, used by the client reader thread.
-* :class:`StreamDecoder` — an incremental state machine fed from a
-  non-blocking socket, used by the event-loop server.  Both read
-  out-of-band buffers straight into pre-sized ``bytearray`` objects.
+One decoder serves the receive side: :class:`StreamDecoder`, an
+incremental state machine that reads out-of-band buffers straight into
+pre-sized ``bytearray`` objects.  The event-loop server feeds it from
+non-blocking sockets (:meth:`~StreamDecoder.read_from`); the client
+connection's reader thread blocks on it
+(:meth:`~StreamDecoder.read_message`).  :func:`recv_message` is that
+blocking read for tests and benchmarks that speak the wire directly.
 """
 from __future__ import annotations
 
@@ -104,11 +105,6 @@ def _check_frame(pickle_len: int, n_buffers: int, buffer_bytes: int = 0) -> None
         )
 
 
-def _sendmsg_all(sock: socket.socket, buffers: list[memoryview]) -> None:
-    """Send every buffer with scatter/gather writes, handling partial sends."""
-    vectored_write(sock.sendmsg, buffers)
-
-
 def encode_message(message: Any) -> list[memoryview]:
     """Pickle ``message`` (buffers out-of-band) into wire-order segments.
 
@@ -135,66 +131,16 @@ def encode_message(message: Any) -> list[memoryview]:
 
 def send_message(sock: socket.socket, message: Any) -> None:
     """Pickle ``message`` (buffers out-of-band) and send it with one frame."""
-    _sendmsg_all(sock, encode_message(message))
-
-
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes | None:
-    chunks: list[bytes] = []
-    remaining = nbytes
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b''.join(chunks)
-
-
-def _recv_into_exact(sock: socket.socket, buffer: bytearray) -> bool:
-    """Fill ``buffer`` completely from the socket; False on a closed peer."""
-    view = memoryview(buffer)
-    while len(view) > 0:
-        received = sock.recv_into(view, len(view))
-        if received == 0:
-            return False
-        view = view[received:]
-    return True
+    vectored_write(sock.sendmsg, encode_message(message))
 
 
 def recv_message(sock: socket.socket) -> Any | None:
-    """Receive one framed message; ``None`` on a cleanly closed socket.
-
-    Out-of-band buffers are received straight into fresh ``bytearray``
-    objects (one allocation, no join) and surface inside the unpickled
-    message as writable buffer views.
-    """
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    pickle_len, n_buffers = _HEADER.unpack(header)
-    _check_frame(pickle_len, n_buffers)
-    buffers: list[bytearray] = []
-    if n_buffers:
-        lengths_raw = _recv_exact(sock, _U64.size * n_buffers)
-        if lengths_raw is None:
-            return None
-        lengths = [
-            _U64.unpack_from(lengths_raw, i * _U64.size)[0]
-            for i in range(n_buffers)
-        ]
-        _check_frame(pickle_len, n_buffers, sum(lengths))
-        buffers = [bytearray(length) for length in lengths]
-    payload = _recv_exact(sock, pickle_len)
-    if payload is None:
-        return None
-    for buffer in buffers:
-        if not _recv_into_exact(sock, buffer):
-            return None
-    return pickle.loads(payload, buffers=buffers)
+    """Blocking receive of one framed message; ``None`` on a closed peer."""
+    return StreamDecoder().read_message(sock)
 
 
 # --------------------------------------------------------------------------- #
-# Incremental decoding for the non-blocking event-loop server
+# Incremental decoding
 # --------------------------------------------------------------------------- #
 _STAGE_HEADER = 0
 _STAGE_LENGTHS = 1
@@ -205,14 +151,15 @@ _NO_MESSAGE = object()
 
 
 class StreamDecoder:
-    """Incremental frame decoder fed from a non-blocking socket.
+    """Incremental frame decoder: the one receive path of both ends.
 
     The decoder keeps exactly one fill target at a time (frame header,
     buffer-length table, pickle bytes, or the current out-of-band buffer)
-    and reads into it with ``recv_into`` — the same one-allocation,
-    no-join receive path as :func:`recv_message`, restartable at any byte
-    boundary so a single event-loop thread can interleave many
-    connections.
+    and reads into it with ``recv_into`` — one allocation per target, no
+    joins.  It is restartable at any byte boundary, so a single
+    event-loop thread can interleave many non-blocking connections
+    (:meth:`read_from`), and a client reader thread blocks on one
+    (:meth:`read_message`).
     """
 
     __slots__ = (

@@ -447,49 +447,7 @@ class _LocalBackend:
 
 
 class _KVBackend:
-    """Group-state backend over a designated SimKV broker."""
-
-    def __init__(self, client: Any, group: str) -> None:
-        self._client = client
-        self._group = group
-
-    def join(self, member: str, session_timeout: float) -> dict[str, Any]:
-        return self._client.group_join(
-            self._group, member, session_timeout=session_timeout,
-        )
-
-    def heartbeat(
-        self,
-        member: str,
-        positions: dict[str, int],
-        ends: dict[str, int] | None = None,
-    ) -> dict[str, Any]:
-        return self._client.group_heartbeat(self._group, member, positions, ends)
-
-    def leave(self, member: str, positions: dict[str, int]) -> None:
-        self._client.group_leave(self._group, member, positions)
-
-    def commit(
-        self,
-        member: str,
-        offsets: dict[str, int],
-        positions: dict[str, int],
-        ends: dict[str, int] | None = None,
-    ) -> None:
-        self._client.offset_commit(
-            self._group, offsets,
-            member=member, positions=positions, ends=ends,
-        )
-
-    def fetch(self, topics: Sequence[str]) -> dict[str, dict[str, int]]:
-        return self._client.offset_fetch(self._group, topics)
-
-    def stats(self) -> dict[str, Any]:
-        return self._client.group_stats(self._group)
-
-
-class _ReplicatedKVBackend:
-    """Group-state backend over a replicated coordinator broker chain.
+    """Group-state backend over the SimKV coordinator broker chain.
 
     Every mutating command goes to the *acting* coordinator — the first
     live broker in the fixed ring-owner list for ``coordinator:group:X``
@@ -501,6 +459,9 @@ class _ReplicatedKVBackend:
     leases, generation, committed offsets, recorded ends — lets the group
     continue without losing a commit.  :attr:`failovers` counts acting-
     broker changes; consumers observing a bump force a rejoin/resync.
+    Without replication the chain is the one designated broker: mirroring
+    is a no-op, :attr:`failovers` stays 0, and a restarting broker is
+    ridden out by the same jittered backoff walk publishes use.
     """
 
     def __init__(self, group: str, router: PartitionRouter) -> None:
@@ -632,12 +593,8 @@ class GroupCoordinator:
             raise ValueError('group name must be non-empty')
         self.group = group
         designated = router.designated(f'group:{group}')
-        client = getattr(designated, 'client', None)
-        if client is not None and hasattr(client, 'group_join'):
-            if router.replicas > 1:
-                self._backend: Any = _ReplicatedKVBackend(group, router)
-            else:
-                self._backend = _KVBackend(client, group)
+        if hasattr(getattr(designated, 'client', None), 'group_join'):
+            self._backend: Any = _KVBackend(group, router)
         elif type(designated).__name__ == 'LocalEventBus':
             self._backend = _LocalBackend(designated.bus_id, group)
         else:

@@ -7,15 +7,17 @@ ring buffer and fans it out to subscribed connections as unsolicited
 
 * Publishing and catch-up fetches reuse the **pipelined** :class:`KVClient`
   (batched ``MPUBLISH`` frames, many publishes in flight on one socket).
-* Each subscription holds a **dedicated connection**: the server pushes
-  event batches to it, a reader thread queues them, and the consumer
-  drains the queue.  The queue is bounded — a consumer that stops draining
-  stalls its own TCP receive window, the server's outgoing queue for that
-  connection hits the ``push_highwater`` mark and pushes stop, and the
-  topic's ring retention bounds what the server keeps.  When the consumer
-  resumes, the sequence gap is detected and a ``FETCH`` replays whatever
-  the ring still holds (the rest is counted as *lost*, never silently
-  skipped).
+* Each subscription holds a **dedicated connection** of the type the
+  client pools, opened outside the pool; ``SUBSCRIBE`` is an ordinary
+  request on it.  The server pushes event batches to that connection,
+  its reader hands them to the subscription's queue, and the consumer
+  drains the queue.  Once the subscription is live the queue is bounded
+  — a consumer that stops draining stalls its own TCP receive window,
+  the server's outgoing queue for that connection hits the
+  ``push_highwater`` mark and pushes stop, and the topic's ring
+  retention bounds what the server keeps.  When the consumer resumes,
+  the sequence gap is detected and a ``FETCH`` replays whatever the ring
+  still holds (the rest is counted as *lost*, never silently skipped).
 
 The bus registers under the ``kv`` and ``redis`` URL schemes, so
 ``event_bus_from_url('kv://127.0.0.1:7777?launch=1')`` selects it through
@@ -24,7 +26,6 @@ the same scheme-registry pattern stores use.
 from __future__ import annotations
 
 import queue
-import socket
 import threading
 import time
 from typing import Any
@@ -32,39 +33,33 @@ from typing import Sequence
 
 from repro.connectors.registry import StoreURL
 from repro.exceptions import ConnectorError
-from repro.exceptions import NodeUnavailableError
-from repro.faults import injection
 from repro.faults.retry import DEFAULT_RECONNECT_POLICY
-from repro.faults.retry import RetryPolicy
 from repro.kvserver.client import DEFAULT_POOL_SIZE
 from repro.kvserver.client import DEFAULT_TIMEOUT
 from repro.kvserver.client import KVClient
-from repro.kvserver.protocol import EVENT_STATUS
-from repro.kvserver.protocol import StreamDecoder
-from repro.kvserver.protocol import send_message
+from repro.kvserver.client import _Connection
+from repro.kvserver.client import _StaleConnectionError
 from repro.kvserver.server import launch_server
 from repro.stream.bus import register_event_bus
 
 __all__ = ['KVEventBus', 'KVSubscription']
 
-#: Bound on the push-batch queue of one subscription.  A full queue blocks
-#: the reader thread, which stalls the TCP stream and engages the server's
-#: highwater backpressure — bounded memory at every hop.
+#: Bound on the push-batch queue of one live subscription.  A full queue
+#: blocks the connection's reader, which stalls the TCP stream and engages
+#: the server's highwater backpressure — bounded memory at every hop.
 DEFAULT_MAX_QUEUED_BATCHES = 64
-
-_SUBSCRIBE_REQUEST_ID = 0
 
 
 class KVSubscription:
     """One consumer's subscription to a topic on a SimKV broker.
 
-    The subscription owns a dedicated socket (server pushes are
-    per-connection) plus a reader thread feeding a bounded queue.
-    :meth:`next_batch` reconciles pushed batches with the expected sequence
-    number: gaps (pushes dropped while this consumer lagged, or a
-    reconnect) are backfilled from the topic ring via the bus's pipelined
-    client, and events that aged out of retention are counted in
-    :attr:`lost`.
+    The subscription owns a dedicated, non-pooled client connection
+    (server pushes are per-connection) whose reader feeds pushed batches
+    into a bounded queue.  :meth:`next_batch` reconciles pushed batches
+    with the expected sequence number: gaps (pushes dropped while this
+    consumer lagged, or a reconnect) are backfilled from the topic ring
+    via the bus's pipelined client, and events that aged out of retention
+    are counted in :attr:`lost`.
     """
 
     def __init__(
@@ -75,64 +70,38 @@ class KVSubscription:
         *,
         max_queued_batches: int = DEFAULT_MAX_QUEUED_BATCHES,
         poll_interval: float = 0.5,
-        reconnect_policy: RetryPolicy | None = None,
     ) -> None:
         self._bus = bus
         self.topic = topic
         self._poll_interval = poll_interval
-        self._reconnect_policy = reconnect_policy or DEFAULT_RECONNECT_POLICY
-        self._queue: queue.Queue[list[tuple[int, Any]]] = queue.Queue(
-            maxsize=max_queued_batches,
-        )
+        self._max_queued_batches = max_queued_batches
+        self._queue: queue.Queue[list[tuple[int, Any]]] = queue.Queue()
         self._lost = 0
         self._closed = False
-        self._dead = threading.Event()
-        self._sock: socket.socket | None = None
-        self._reader: threading.Thread | None = None
         self._expected = 0
         self._connect(from_seq)
 
     # -- wire ------------------------------------------------------------- #
     def _connect(self, from_seq: int | None) -> None:
         """Open the dedicated push connection and issue the SUBSCRIBE."""
-        reply_box: queue.Queue[Any] = queue.Queue(maxsize=1)
+        # The broker sends the backlog replay *before* the SUBSCRIBE reply,
+        # while nobody drains the queue yet: it stays unbounded until the
+        # reply is in, so a long replay cannot block the reader.
+        self._set_queue_bound(0)
+        conn = self._conn = _Connection(
+            self._bus.host, self._bus.port, self._bus.timeout, self._on_push,
+        )
         try:
-            injection.on_connect(self._bus.host, self._bus.port)
-            sock = socket.create_connection(
-                (self._bus.host, self._bus.port), timeout=self._bus.timeout,
+            status, reply = conn.request(
+                ('SUBSCRIBE', self.topic, {'from_seq': from_seq}),
+                self._bus.timeout,
             )
-        except OSError as e:
-            # Typed as node-unavailable so failover layers know the broker
-            # itself is gone (vs. a request-level failure).
-            raise NodeUnavailableError(
-                f'cannot connect to SimKV broker at '
-                f'{self._bus.host}:{self._bus.port}: {e}',
-            ) from e
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(None)
-        self._sock = sock
-        self._dead.clear()
-        send_message(
-            sock,
-            (_SUBSCRIBE_REQUEST_ID, 'SUBSCRIBE', self.topic, {'from_seq': from_seq}),
-        )
-        self._reader = threading.Thread(
-            target=self._read_loop,
-            args=(sock, reply_box),
-            name='simkv-subscription',
-            daemon=True,
-        )
-        self._reader.start()
-        try:
-            reply = reply_box.get(timeout=self._bus.timeout)
-        except queue.Empty:
-            self.close()
-            raise ConnectorError(
-                f'SUBSCRIBE to topic {self.topic!r} timed out',
-            ) from None
-        if isinstance(reply, Exception):
-            self.close()
-            raise ConnectorError(f'SUBSCRIBE failed: {reply}') from reply
+        except (_StaleConnectionError, ConnectorError) as e:
+            status, reply = 'error', e
+        if status != 'ok':
+            conn.close()
+            raise ConnectorError(f'SUBSCRIBE failed: {reply}')
+        self._set_queue_bound(self._max_queued_batches)
         reply_lost = int(reply.get('lost', 0))
         self._lost += reply_lost
         # Replay starts at the oldest retained event past from_seq; with no
@@ -143,50 +112,21 @@ class KVSubscription:
             else int(reply['next_seq'])
         )
 
-    def _read_loop(self, sock: socket.socket, reply_box: queue.Queue[Any]) -> None:
-        """Reader thread: queue pushed event batches, hand over the reply."""
-        decoder = StreamDecoder()
-        pending_events: list[list[tuple[int, Any]]] = []
-        replied = False
-        while True:
+    def _set_queue_bound(self, maxsize: int) -> None:
+        with self._queue.mutex:
+            self._queue.maxsize = maxsize
+
+    def _on_push(self, payload: Any) -> None:
+        """Connection reader: queue one pushed batch (``None``: it died)."""
+        if payload is None:
+            # Wake a blocked next_batch so it notices the death.
             try:
-                message = decoder.read_message(sock)
-            # repro: ignore[RP004] - not swallowed: message=None signals
-            # death below (_dead is set, waiters get ConnectionError)
-            except Exception:  # noqa: BLE001 - any failure ends the stream
-                message = None
-            if message is None:
-                self._dead.set()
-                if not replied:
-                    reply_box.put(ConnectionError('broker closed the connection'))
-                # Wake a blocked next_batch so it notices the death.
-                try:
-                    self._queue.put_nowait([])
-                except queue.Full:
-                    pass
-                return
-            try:
-                request_id, status, payload = message
-            except (TypeError, ValueError):
-                continue
-            if status == EVENT_STATUS:
-                _topic, events = payload
-                batch = [(int(seq), data) for seq, data in events]
-                if not replied:
-                    # Backlog frames may arrive before the SUBSCRIBE reply;
-                    # hold them so the reply is processed first.
-                    pending_events.append(batch)
-                else:
-                    self._queue.put(batch)
-            elif request_id == _SUBSCRIBE_REQUEST_ID and not replied:
-                replied = True
-                if status != 'ok':
-                    reply_box.put(ConnectorError(str(payload)))
-                    return
-                reply_box.put(payload)
-                for batch in pending_events:
-                    self._queue.put(batch)
-                pending_events.clear()
+                self._queue.put_nowait([])
+            except queue.Full:
+                pass
+        elif not self._closed:
+            _topic, events = payload
+            self._queue.put([(int(seq), data) for seq, data in events])
 
     # -- consumption ------------------------------------------------------- #
     @property
@@ -199,58 +139,39 @@ class KVSubscription:
         """Sequence number of the next event this subscriber will deliver."""
         return self._expected
 
-    def _account_lost(self, fetched: dict[str, Any], cap: int | None = None) -> None:
-        """Count a fetch's lost events once, advancing the cursor past them.
+    def _fetch(self, up_to: int | None = None) -> list[tuple[int, Any]]:
+        """Fetch events past the cursor (below ``up_to``) from the topic ring.
 
-        The cursor must move to the oldest retained event: leaving it
-        inside the lost region would re-count the same loss on the next
-        fetch.  ``cap`` bounds the accounting to a known gap — events past
-        the gap may still be in flight as pushes, so only a later fetch
-        may declare them lost.
+        With ``up_to`` this fills the push gap ``[expected, up_to)``, and
+        whatever the ring no longer holds below ``up_to`` is lost for good.
+        Without it this is the idle poll — the liveness net under
+        server-side push dropping: when this consumer lagged past the
+        highwater mark, the events it missed sit in the ring but no push
+        will re-announce them unless someone publishes again.
         """
-        lost = int(fetched.get('lost', 0))
-        if cap is not None:
-            lost = min(lost, cap)
-        if lost > 0:
-            self._lost += lost
-            self._expected += lost
-
-    def _backfill(self, up_to: int) -> list[tuple[int, Any]]:
-        """Fetch ``[expected, up_to)`` from the topic ring after a push gap."""
-        recovered: list[tuple[int, Any]] = []
-        gap = up_to - self._expected
+        gap = 0 if up_to is None else up_to - self._expected
         fetched = self._bus.client.fetch_events(
             self.topic, since=self._expected, max_events=gap,
         )
-        self._account_lost(fetched, cap=gap)
-        for seq, data in fetched.get('events', []):
-            seq = int(seq)
-            if self._expected <= seq < up_to:
-                recovered.append((seq, data))
-                self._expected = seq + 1
-        # Whatever the ring no longer held below up_to is lost for good.
-        if self._expected < up_to:
-            self._lost += up_to - self._expected
-            self._expected = up_to
-        return recovered
-
-    def _poll_ring(self) -> list[tuple[int, Any]]:
-        """Fetch events past the cursor straight from the topic ring.
-
-        The liveness net under server-side push dropping: when this
-        consumer lagged past the highwater mark, the events it missed sit
-        in the ring but no push will ever re-announce them unless someone
-        publishes again — so an idle wait periodically asks the ring
-        directly.
-        """
-        fetched = self._bus.client.fetch_events(self.topic, since=self._expected)
-        self._account_lost(fetched)
+        # Count the fetch's lost events once, moving the cursor past them
+        # (left inside the lost region, the next fetch would count them
+        # again).  With a gap, events past it may still be in flight as
+        # pushes, so only a later fetch may declare them lost.
+        lost = int(fetched.get('lost', 0))
+        if up_to is not None:
+            lost = min(lost, gap)
+        if lost > 0:
+            self._lost += lost
+            self._expected += lost
         out: list[tuple[int, Any]] = []
         for seq, data in fetched.get('events', []):
             seq = int(seq)
-            if seq >= self._expected:
+            if seq >= self._expected and (up_to is None or seq < up_to):
                 out.append((seq, data))
                 self._expected = seq + 1
+        if up_to is not None and self._expected < up_to:
+            self._lost += up_to - self._expected
+            self._expected = up_to
         return out
 
     def next_batch(self, timeout: float | None = None) -> list[tuple[int, Any]]:
@@ -275,9 +196,9 @@ class KVSubscription:
             except queue.Empty:
                 raw = None
             if raw is None:
-                if self._dead.is_set():
+                if self._conn.dead:
                     self._reconnect()
-                polled = self._poll_ring()
+                polled = self._fetch()
                 if polled:
                     return polled
                 if deadline is not None and time.monotonic() >= deadline:
@@ -294,14 +215,14 @@ class KVSubscription:
                 if seq < self._expected:
                     continue
                 if seq > self._expected:
-                    out.extend(self._backfill(seq))
+                    out.extend(self._fetch(seq))
                     if seq < self._expected:  # aged out under the backfill
                         continue
                 out.append((seq, data))
                 self._expected = seq + 1
             if out:
                 return out
-            if self._dead.is_set():
+            if self._conn.dead:
                 self._reconnect()
             if deadline is not None and time.monotonic() >= deadline:
                 return []
@@ -310,19 +231,19 @@ class KVSubscription:
     def _reconnect(self) -> None:
         """Re-establish a died push connection, resuming from the cursor.
 
-        Retries with the subscription's jittered-backoff policy: a broker
-        that is restarting (same address, new process) answers within a
-        few attempts and the cursor-driven SUBSCRIBE backfills the gap
-        from its ring.  Only after the policy is exhausted does the
-        failure propagate — at which point a replication-aware wrapper
+        Retries with the shared jittered-backoff policy: a broker that is
+        restarting (same address, new process) answers within a few
+        attempts and the cursor-driven SUBSCRIBE backfills the gap from
+        its ring.  Only after the policy is exhausted does the failure
+        propagate — at which point a replication-aware wrapper
         (:class:`~repro.stream.failover.FailoverSubscription`) fails over
         to another broker instead.
         """
         if self._closed:
             return
-        self._teardown_socket()
+        self._conn.close()
         last: Exception | None = None
-        for _attempt in self._reconnect_policy.attempts():
+        for _attempt in DEFAULT_RECONNECT_POLICY.attempts():
             if self._closed:
                 return
             try:
@@ -335,25 +256,17 @@ class KVSubscription:
             raise last
 
     # -- lifecycle --------------------------------------------------------- #
-    def _teardown_socket(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - platform dependent
-                pass
-        reader, self._reader = self._reader, None
-        if reader is not None and reader is not threading.current_thread():
-            reader.join(timeout=2.0)
-
     def close(self) -> None:
         """Close the push connection (the server drops the subscription)."""
         self._closed = True
-        self._teardown_socket()
+        # With _closed set the reader queues nothing more; draining frees a
+        # reader blocked on a full queue so the connection can reap it.
+        while True:
+            try:
+                self._queue.get_nowait()
+            except queue.Empty:
+                break
+        self._conn.close()
 
     def __enter__(self) -> 'KVSubscription':
         return self
@@ -380,9 +293,6 @@ class KVEventBus:
         poll_interval: seconds an idle subscription waits between direct
             ring polls (the liveness net when its pushes were dropped
             under backpressure); lower it for latency-sensitive consumers.
-        reconnect_policy: jittered-backoff schedule subscriptions use to
-            re-establish a died push connection (default:
-            :data:`~repro.faults.retry.DEFAULT_RECONNECT_POLICY`).
     """
 
     scheme = 'kv'
@@ -398,7 +308,6 @@ class KVEventBus:
         pool_size: int = DEFAULT_POOL_SIZE,
         max_queued_batches: int = DEFAULT_MAX_QUEUED_BATCHES,
         poll_interval: float = 0.5,
-        reconnect_policy: RetryPolicy | None = None,
     ) -> None:
         if launch:
             server = launch_server(host, port)
@@ -411,7 +320,6 @@ class KVEventBus:
         self.pool_size = pool_size
         self.max_queued_batches = max_queued_batches
         self.poll_interval = poll_interval
-        self.reconnect_policy = reconnect_policy or DEFAULT_RECONNECT_POLICY
         self.client = KVClient(host, port, timeout=timeout, pool_size=pool_size)
         self._configured: set[str] = set()
         self._configure_lock = threading.Lock()
@@ -454,7 +362,6 @@ class KVEventBus:
             from_seq,
             max_queued_batches=self.max_queued_batches,
             poll_interval=self.poll_interval,
-            reconnect_policy=self.reconnect_policy,
         )
 
     def topic_stats(self, topic: str) -> dict[str, Any] | None:

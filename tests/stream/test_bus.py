@@ -242,8 +242,8 @@ def test_kv_subscription_survives_reconnect(make_bus, topic):
     bus.publish(topic, b'before')
     assert [bytes(d) for _, d in sub.next_batch(timeout=5.0)] == [b'before']
     # Kill the push connection out from under the subscription.
-    assert sub._sock is not None
-    sub._sock.close()
+    assert sub._conn.sock is not None
+    sub._conn.sock.close()
     bus.publish(topic, b'after')
     received = []
     deadline = time.monotonic() + 10.0

@@ -206,9 +206,9 @@ def test_coordinator_failover_preserves_commits_and_coverage(fleet, store):
 def test_coordinator_calls_raise_when_every_owner_is_dead(fleet):
     router = PartitionRouter('dead-topic', 2, _urls(fleet), replicas=2)
     try:
-        from repro.stream.groups import _ReplicatedKVBackend
+        from repro.stream.groups import _KVBackend
 
-        backend = _ReplicatedKVBackend('doomed', router)
+        backend = _KVBackend('doomed', router)
         for server in fleet:
             server.stop()
         with pytest.raises(NodeUnavailableError):

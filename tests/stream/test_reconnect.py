@@ -76,3 +76,33 @@ def test_restarted_broker_backfills_cursor_gap_exactly_once():
         subscription.close()
         bus.close()
         restarted.stop()
+
+
+@pytest.mark.timeout(60)
+def test_coordinator_rides_out_a_restarting_unreplicated_broker():
+    """Group calls retry a restarting broker like publishes on the router do."""
+    import threading
+
+    from repro.stream.groups import GroupCoordinator
+    from repro.stream.groups import PartitionRouter
+    from repro.stream.kv import KVEventBus
+
+    server = KVServer()
+    host, port = server.start()
+    bus = KVEventBus(host, port)
+    router = PartitionRouter('restart-topic', 2, bus)
+    coordinator = GroupCoordinator('restart-group', router)
+    restarted = KVServer(host, port)
+    try:
+        coordinator.join('m0', 30.0)
+        server.stop()
+        timer = threading.Timer(0.3, restarted.start)
+        timer.start()
+        view = coordinator.join('m1', 30.0)
+        timer.join(timeout=10.0)
+        assert not timer.is_alive()
+        assert 'm1' in view['members']
+        assert coordinator.failovers == 0
+    finally:
+        bus.close()
+        restarted.stop()
