@@ -24,15 +24,18 @@ wire's capability.  This client removes that serialization:
   it instead of a waiter.
 
 Payload values are transmitted zero-copy: :meth:`KVClient.set` wraps the
-payload's segments in :class:`pickle.PickleBuffer`, so the wire protocol
+payload's segments as one out-of-band wire buffer
+(:func:`~repro.kvserver.protocol.wire_buffer`), so the wire protocol
 scatter/gathers them straight from the caller's memory without building an
-intermediate copy.  ``get`` returns the buffer received by the reader
-thread (a ``bytes``-like view over freshly received data), again without a
-defensive copy.
+intermediate copy, and the server receives the value as one buffer it
+stores as is.  ``get`` returns the buffer received by the reader thread,
+again without a defensive copy: a ``memoryview`` or a ``bytearray``.
+Values of at least :data:`~repro.kvserver.protocol.UNINITIALIZED_MIN`
+bytes arrive as a ``memoryview`` over fresh memory that was never
+zero-filled.
 """
 from __future__ import annotations
 
-import pickle
 import socket
 import struct
 import threading
@@ -49,6 +52,7 @@ from repro.faults.retry import RetryPolicy
 from repro.kvserver.protocol import EVENT_STATUS
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import encode_message
+from repro.kvserver.protocol import wire_buffer
 from repro.serialize.buffers import SerializedObject
 from repro.serialize.buffers import segments_of
 from repro.serialize.buffers import vectored_write
@@ -66,8 +70,9 @@ DEFAULT_TIMEOUT = 10.0
 
 
 def _wrap_value(data: 'bytes | bytearray | memoryview | SerializedObject') -> list:
-    """Payload segments wrapped for out-of-band transmission."""
-    return [pickle.PickleBuffer(segment) for segment in segments_of(data)]
+    """A payload as the one-buffer list the server stores (empty if no bytes)."""
+    segments = segments_of(data)
+    return [wire_buffer(segments)] if segments else []
 
 
 class _StaleConnectionError(Exception):
@@ -418,8 +423,8 @@ class KVClient:
     def set(self, key: str, value: 'bytes | bytearray | memoryview | SerializedObject') -> None:
         self._request('SET', key, _wrap_value(value))
 
-    def get(self, key: str) -> 'bytes | bytearray | memoryview | None':
-        """Return the stored value (a bytes-like view of the received data)."""
+    def get(self, key: str) -> 'bytearray | memoryview | None':
+        """Return the stored value: the received ``memoryview`` or ``bytearray``."""
         return self._request('GET', key)
 
     def mset(

@@ -6,12 +6,19 @@ Messages are framed as::
     pickle bytes | buffer 0 | ... | buffer n-1
 
 The pickle section is produced with protocol 5 and a ``buffer_callback``:
-any :class:`pickle.PickleBuffer` inside the message (payload segments of a
-``SET``/``MSET``, response values of a ``GET``/``MGET``) travels *out of
-band* — its bytes are never copied into the pickle stream.  The sender
-pushes header, pickle and raw buffers through one scatter/gather
-(``sendmsg``) loop; the receiver reads each buffer straight into a fresh
-``bytearray`` via ``recv_into`` and hands the views to ``pickle.loads``.
+any :class:`pickle.PickleBuffer` inside the message (the payload of a
+``SET``/``MSET``/``PUBLISH``, response values of a ``GET``/``MGET``)
+travels *out of band* — its bytes are never copied into the pickle stream.
+A value the sender holds as several pieces (a serialized array's ident
+byte, ``.npy`` header and data) is one length-table entry: it is wrapped
+with :func:`wire_buffer`, and the entry's bytes are gathered from the
+pieces by the same scatter/gather (``sendmsg``) loop that sends header and
+pickle, so neither end joins them.  The receiver reads each buffer with
+``recv_into`` straight into fresh memory of its own and hands it to
+``pickle.loads``: a ``bytearray`` below :data:`UNINITIALIZED_MIN` bytes,
+above it uninitialized memory (a ``memoryview`` over ``numpy.empty``),
+which is never zero-filled and reaches pickle only once ``recv_into`` has
+filled all of it.  A frame cut short is dropped with its connection.
 
 Requests are ``(request_id, command, key, value)`` tuples; responses are
 ``(request_id, status, payload)`` tuples where ``status`` is ``'ok'`` or
@@ -22,12 +29,12 @@ Pickle is acceptable here because both ends are this library (SimKV is an
 internal substrate, not an internet-facing service).
 
 One decoder serves the receive side: :class:`StreamDecoder`, an
-incremental state machine that reads out-of-band buffers straight into
-pre-sized ``bytearray`` objects.  The event-loop server feeds it from
-non-blocking sockets (:meth:`~StreamDecoder.read_from`); the client
-connection's reader thread blocks on it
-(:meth:`~StreamDecoder.read_message`).  :func:`recv_message` is that
-blocking read for tests and benchmarks that speak the wire directly.
+incremental state machine that reads every fill target straight into
+pre-sized memory.  The event-loop server feeds it from non-blocking
+sockets (:meth:`~StreamDecoder.read_from`); the client connection's
+reader thread blocks on it (:meth:`~StreamDecoder.read_message`).
+:func:`recv_message` is that blocking read for tests and benchmarks that
+speak the wire directly.
 """
 from __future__ import annotations
 
@@ -35,6 +42,9 @@ import pickle
 import socket
 import struct
 from typing import Any
+from typing import Sequence
+
+import numpy as np
 
 from repro.serialize.buffers import vectored_write
 
@@ -46,9 +56,11 @@ __all__ = [
     'REPL_COMMANDS',
     'STREAM_COMMANDS',
     'StreamDecoder',
+    'UNINITIALIZED_MIN',
     'encode_message',
     'recv_message',
     'send_message',
+    'wire_buffer',
 ]
 
 #: Pub/sub commands (stream event transport): see repro.stream.kv.  The
@@ -95,6 +107,12 @@ _U64 = struct.Struct('>Q')
 MAX_FRAME_BYTES = 1 << 34  # 16 GiB
 _MAX_BUFFERS = 1 << 20
 
+#: Out-of-band buffers of at least this many bytes are received into
+#: uninitialized memory.  Zero-filling a 10 MiB ``bytearray`` costs about
+#: half a millisecond that ``numpy.empty`` skips; below this size a
+#: ``bytearray`` is the cheaper allocation.
+UNINITIALIZED_MIN = 64 * 1024
+
 
 def _check_frame(pickle_len: int, n_buffers: int, buffer_bytes: int = 0) -> None:
     """Reject frame dimensions no legitimate sender produces."""
@@ -105,28 +123,59 @@ def _check_frame(pickle_len: int, n_buffers: int, buffer_bytes: int = 0) -> None
         )
 
 
+class _Gathered(bytearray):
+    """An empty stand-in for one out-of-band buffer made of several pieces.
+
+    A ``bytearray`` so that :class:`pickle.PickleBuffer` accepts it;
+    :func:`encode_message` finds it again through ``raw().obj`` and puts
+    ``pieces`` on the wire under one length-table entry of ``nbytes``.
+    """
+
+    __slots__ = ('pieces', 'nbytes')
+
+
+def wire_buffer(pieces: Sequence[memoryview]) -> pickle.PickleBuffer:
+    """Wrap a value's non-empty byte pieces as *one* out-of-band buffer.
+
+    The pieces stay in the caller's memory until the frame is sent; the
+    receiver gets them as a single contiguous buffer.
+    """
+    if len(pieces) == 1:
+        return pickle.PickleBuffer(pieces[0])
+    gathered = _Gathered()
+    gathered.pieces = list(pieces)
+    gathered.nbytes = sum(piece.nbytes for piece in pieces)
+    return pickle.PickleBuffer(gathered)
+
+
 def encode_message(message: Any) -> list[memoryview]:
     """Pickle ``message`` (buffers out-of-band) into wire-order segments.
 
     ``PickleBuffer``-wrapped segments inside ``message`` are *aliased*, not
     copied: the returned list holds views over the caller's memory, ready
-    for one scatter/gather send (or an event loop's outgoing queue).
+    for one scatter/gather send (or an event loop's outgoing queue).  A
+    :func:`wire_buffer` of several pieces contributes all of them under
+    one buffer length.
     """
     pickle_buffers: list[pickle.PickleBuffer] = []
     payload = pickle.dumps(
         message, protocol=5, buffer_callback=pickle_buffers.append,
     )
-    # Out-of-band buffers come from segments_of()/PickleBuffer wrapping of
+    # Out-of-band buffers come from wire_buffer()/PickleBuffer wrapping of
     # flat byte views, so raw() cannot fail with BufferError here (pickle
     # itself rejects non-contiguous PickleBuffers even in-band).
-    raws = [b.raw() for b in pickle_buffers]
-    header = b''.join(
-        [
-            _HEADER.pack(len(payload), len(raws)),
-            *(_U64.pack(r.nbytes) for r in raws),
-        ],
-    )
-    return [memoryview(header), memoryview(payload), *raws]
+    lengths: list[bytes] = []
+    buffers: list[memoryview] = []
+    for pickle_buffer in pickle_buffers:
+        raw = pickle_buffer.raw()
+        if isinstance(raw.obj, _Gathered):
+            lengths.append(_U64.pack(raw.obj.nbytes))
+            buffers.extend(raw.obj.pieces)
+        else:
+            lengths.append(_U64.pack(raw.nbytes))
+            buffers.append(raw)
+    header = b''.join([_HEADER.pack(len(payload), len(lengths)), *lengths])
+    return [memoryview(header), memoryview(payload), *buffers]
 
 
 def send_message(sock: socket.socket, message: Any) -> None:
@@ -150,13 +199,27 @@ _STAGE_BUFFERS = 3
 _NO_MESSAGE = object()
 
 
+def _receive_buffer(length: int) -> 'bytearray | memoryview':
+    """Fresh memory for one out-of-band buffer of ``length`` bytes.
+
+    Large buffers are left uninitialized: the decoder fills every byte
+    with ``recv_into`` before pickle sees the buffer.  Each buffer is its
+    own allocation, so no received value shares memory with another.
+    """
+    if length >= UNINITIALIZED_MIN:
+        return memoryview(np.empty(length, dtype=np.uint8))
+    return bytearray(length)
+
+
 class StreamDecoder:
     """Incremental frame decoder: the one receive path of both ends.
 
     The decoder keeps exactly one fill target at a time (frame header,
     buffer-length table, pickle bytes, or the current out-of-band buffer)
     and reads into it with ``recv_into`` — one allocation per target, no
-    joins.  It is restartable at any byte boundary, so a single
+    joins.  Out-of-band buffers are ``bytearray`` objects below
+    :data:`UNINITIALIZED_MIN` bytes and uninitialized ``memoryview``
+    objects above it.  It is restartable at any byte boundary, so a single
     event-loop thread can interleave many non-blocking connections
     (:meth:`read_from`), and a client reader thread blocks on one
     (:meth:`read_message`).
@@ -175,7 +238,7 @@ class StreamDecoder:
         self._target = memoryview(bytearray(_HEADER.size))
         self._filled = 0
         self._pickle: bytearray | None = None
-        self._buffers: list[bytearray] = []
+        self._buffers: list[bytearray | memoryview] = []
         self._buffer_index = 0
 
     def _begin(self, stage: int, size: int) -> None:
@@ -197,7 +260,7 @@ class StreamDecoder:
 
     def _finish(self) -> Any:
         assert self._pickle is not None
-        message = pickle.loads(bytes(self._pickle), buffers=self._buffers)
+        message = pickle.loads(self._pickle, buffers=self._buffers)
         self._reset()
         return message
 
@@ -222,7 +285,7 @@ class StreamDecoder:
             ]
             assert self._pickle is not None
             _check_frame(len(self._pickle), len(lengths), sum(lengths))
-            self._buffers = [bytearray(length) for length in lengths]
+            self._buffers = [_receive_buffer(length) for length in lengths]
             self._stage = _STAGE_PICKLE
             self._target = memoryview(self._pickle)
             self._filled = 0

@@ -9,7 +9,9 @@ are decoded incrementally with ``recv_into`` into pre-sized buffers
 (:class:`~repro.kvserver.protocol.StreamDecoder`) and responses are queued
 as wire-order segments flushed with non-blocking ``sendmsg``, so payload
 bytes go straight between storage and the socket without intermediate
-joins.
+joins.  A client sends each value as one out-of-band buffer however many
+pieces it held, so ``SET``, ``MSET``, ``PUBLISH``, ``MPUBLISH`` and
+``REPL_PUBLISH`` store the one buffer the decoder received into, as is.
 
 Shutdown drains: :meth:`KVServer.stop` closes the listener, keeps the loop
 running until every already-received request has been answered and every
@@ -116,6 +118,10 @@ def _wired(events: list) -> list:
 class KVServer:
     """In-memory key-value store and pub/sub event broker reachable over TCP.
 
+    Stored values and retained events are the buffers the wire decoder
+    received into, kept without a copy; each is its own allocation, so no
+    stored value shares memory with another.
+
     Args:
         host: interface to bind (default loopback).
         port: TCP port; ``0`` picks a free ephemeral port.
@@ -158,8 +164,9 @@ class KVServer:
         #: isolation events — the per-connection failures the event loop
         #: deliberately survives).
         self.faulted_connections = 0
-        # Values are whatever buffer the protocol layer received into
-        # (bytes, bytearray, or a view thereof) — stored without copying.
+        # Values are whatever buffer the protocol layer received into (a
+        # bytearray, or a memoryview over a large buffer) — stored without
+        # copying.
         self._data: dict[str, Any] = {}
         # Topics and groups are touched exclusively from the event-loop
         # thread.
@@ -439,11 +446,13 @@ class KVServer:
     def _own_value(value: Any) -> 'bytes | bytearray | memoryview | None':
         """Normalize a SET payload into a buffer the server can own.
 
-        Clients send payloads as a list of out-of-band buffer segments
-        (views over the bytearrays the protocol layer received into — fresh
-        memory this server exclusively owns, so single segments are stored
-        without a copy).  Plain ``bytes``/``bytearray`` values are accepted
-        for backward compatibility.
+        This library's client sends a payload as a list of one out-of-band
+        buffer (empty for an empty payload): fresh memory the protocol layer
+        received into and this server exclusively owns, so it is stored
+        without a copy.  A list of several segments, which only a foreign
+        sender produces, is joined into one ``bytes``.  Plain
+        ``bytes``/``bytearray`` values are accepted for backward
+        compatibility.
         """
         if isinstance(value, (bytes, bytearray)):
             return value

@@ -65,6 +65,7 @@ from repro.proxy.proxy import Proxy
 from repro.proxy.resolve import resolve
 from repro.proxy.resolve import resolve_async
 from repro.faults.retry import DEFAULT_RECONNECT_POLICY
+from repro.faults.retry import RetryPolicy
 from repro.kvserver.state import DEFAULT_SESSION_TIMEOUT
 from repro.kvserver.state import GroupState
 from repro.store.factory import StoreFactory
@@ -446,6 +447,10 @@ class _LocalBackend:
         return self._locked(GroupState.stats)
 
 
+#: One walk over the coordinator owners, no retry: for best-effort calls.
+_ONE_WALK = RetryPolicy(max_attempts=1)
+
+
 class _KVBackend:
     """Group-state backend over the SimKV coordinator broker chain.
 
@@ -478,15 +483,21 @@ class _KVBackend:
         """Node id of the broker that last served a coordinator command."""
         return self._acting
 
-    def _call(self, op: Any, mirror: dict[str, Any] | None = None) -> Any:
+    def _call(
+        self,
+        op: Any,
+        mirror: dict[str, Any] | None = None,
+        policy: RetryPolicy = DEFAULT_RECONNECT_POLICY,
+    ) -> Any:
         """Run ``op(client)`` on the acting coordinator with failover.
 
         Only :class:`~repro.exceptions.NodeUnavailableError` triggers the
         failover walk — any other connector error is the request's own
         problem (e.g. an expired member) and propagates to the caller.
+        ``policy`` paces the repeated walks over the owners.
         """
         last: Exception | None = None
-        for _attempt in DEFAULT_RECONNECT_POLICY.attempts():
+        for _attempt in policy.attempts():
             for node in self._router.coordinator_owners(self._key):
                 client = self._router.client_of(node)
                 if client is None:
@@ -541,12 +552,18 @@ class _KVBackend:
         )
 
     def leave(self, member: str, positions: dict[str, int]) -> None:
-        """Leave via the acting coordinator; mirrored to the replicas."""
+        """Leave via the acting coordinator; mirrored to the replicas.
+
+        Best effort: one walk over the owners with no backoff.  A member
+        that cannot reach any of them is expired when its lease runs out,
+        so riding out a dead broker would only stall the caller.
+        """
         self._call(
             lambda c: c.group_leave(self._group, member, positions),
             mirror={
                 'op': 'leave', 'member': member, 'positions': dict(positions),
             },
+            policy=_ONE_WALK,
         )
 
     def commit(

@@ -26,6 +26,10 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         'markers',
+        "slow: long-running tests (deselect with -m 'not slow')",
+    )
+    config.addinivalue_line(
+        'markers',
         'timeout(seconds): fail the test if it runs longer than the bound '
         '(pytest-timeout when installed, SIGALRM fallback otherwise)',
     )

@@ -106,3 +106,44 @@ def test_coordinator_rides_out_a_restarting_unreplicated_broker():
     finally:
         bus.close()
         restarted.stop()
+
+
+@pytest.mark.timeout(60)
+def test_group_consumer_close_does_not_wait_out_a_dead_broker():
+    """Leaving is best effort: a dead broker costs one owner walk, no backoff."""
+    import repro
+    from repro.stream.groups import GroupConsumer
+    from repro.stream.groups import GroupCoordinator
+    from repro.stream.groups import PartitionRouter
+    from repro.stream.kv import KVEventBus
+
+    server = KVServer()
+    host, port = server.start()
+    store = repro.store_from_url('local:///dead-broker-leave-store')
+    bus = KVEventBus(host, port)
+    try:
+        # With the broker up, a leave bumps the generation at once.
+        coordinator = GroupCoordinator(
+            'leave-group', PartitionRouter('leave-topic', 2, bus),
+        )
+        coordinator.join('m0', 30.0)
+        joined = coordinator.join('m1', 30.0)
+        coordinator.leave('m1', {})
+        view = coordinator.stats()
+        assert view['generation'] == joined['generation'] + 1
+        assert view['members'] == ['m0']
+
+        consumer = GroupConsumer(
+            store, KVEventBus(host, port), 'dead-topic', group='dead-group',
+            partitions=2, member='m0', session_timeout=30.0,
+        )
+        consumer.refresh()
+        server.stop()
+        started = time.monotonic()
+        consumer.close()
+        elapsed = time.monotonic() - started
+        assert elapsed < 0.3, f'close() took {elapsed:.3f}s on a dead broker'
+    finally:
+        bus.close()
+        server.stop()
+        store.close(clear=True)
